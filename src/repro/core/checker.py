@@ -103,6 +103,10 @@ class MTChecker:
         the same :class:`CheckResult` plus phase timings, graph sizes, and
         cache/executor counters recorded while producing it (rendered by
         ``repro check -v``).
+
+        Raises:
+            TypeError: ``history`` is not a ``History``, ``LWTHistory`` or
+                ``ColumnarHistory``.
         """
         if report:
             with obs.scoped() as reg:
@@ -115,6 +119,13 @@ class MTChecker:
         history: Union[History, LWTHistory, "ColumnarHistory"],
         level: IsolationLevel,
     ) -> CheckResult:
+        from ..history.columnar import ColumnarHistory  # deferred: avoids cycle
+
+        if not isinstance(history, (History, LWTHistory, ColumnarHistory)):
+            raise TypeError(
+                f"MTChecker.verify expects a History, LWTHistory or "
+                f"ColumnarHistory, got {type(history).__name__}"
+            )
         if isinstance(history, LWTHistory):
             if level not in (
                 IsolationLevel.LINEARIZABILITY,
@@ -128,8 +139,6 @@ class MTChecker:
 
         if level not in GRAPH_CHECKED_LEVELS:
             raise ValueError(f"unsupported isolation level for MTC: {level}")
-
-        from ..history.columnar import ColumnarHistory  # deferred: avoids cycle
 
         columns: Optional[ColumnarHistory] = None
         plain_history: Optional[History]

@@ -23,17 +23,19 @@ history-scanning entry point for the batch pipeline:
 * session order, real-time order, per-key version chains, the INT verdict,
   and the MT-validation verdict are computed once and cached.
 
-Since the columnar refactor the index has **two construction paths over one
-dense core**:
+The index has **one construction scan**, over flat columns:
 
-* :meth:`build` scans a :class:`~repro.core.model.History` of
-  ``Transaction`` objects (the legacy object pipeline);
 * :meth:`from_columns` scans a
   :class:`~repro.history.columnar.ColumnarHistory` segment directly —
-  no ``Transaction`` or ``Operation`` is materialised on the accept path.
+  no ``Transaction`` or ``Operation`` is materialised on the accept path;
+* :meth:`build` column-encodes a :class:`~repro.core.model.History` first
+  and runs the same scan, keeping the caller's ``Transaction`` objects as
+  the object layer.
 
-Either way the index stores its resolved structures *densely* (integer
-transaction positions, interned key ids, flat read tuples).  The
+The scan also flags the rows that can hold an INT or read-provenance
+anomaly (the paper's footnote-1 pre-pass), so :meth:`int_violations` only
+classifies those rows.  The index stores its resolved structures *densely*
+(integer transaction positions, interned key ids, flat read tuples).  The
 object-facing API — ``committed``, ``iter_read_records``, ``history``,
 ``final_writer`` returning a ``Transaction`` — materialises lazily and is
 only paid for by consumers that actually need objects (the legacy
@@ -58,6 +60,7 @@ import sys
 import time
 import zlib
 from array import array
+from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -74,6 +77,7 @@ from typing import (
 )
 
 from .. import obs
+from . import intcheck
 from .model import (
     INITIAL_TXN_ID,
     STATUS_CODES,
@@ -96,7 +100,7 @@ __all__ = [
 
 #: Version tag of the dense-index wire format (bumped on layout changes;
 #: mismatching cache files are silently rebuilt, never misread).
-INDEX_WIRE_FORMAT = "repro-history-index-v1"
+INDEX_WIRE_FORMAT = "repro-history-index-v2"
 
 #: File magic of the CRC-framed on-disk index cache.
 INDEX_CACHE_MAGIC = b"REPROIDX1\n"
@@ -130,6 +134,7 @@ _WIRE_BUFFERS: Tuple[Tuple[str, str], ...] = (
     ("row_order", "q"),
     ("so_pairs", "q"),
     ("rt_pairs", "q"),
+    ("int_candidates", "q"),
 )
 _WIRE_TYPECODES: Dict[str, str] = dict(_WIRE_BUFFERS)
 
@@ -137,6 +142,10 @@ _WIRE_TYPECODES: Dict[str, str] = dict(_WIRE_BUFFERS)
 #: truth: :data:`repro.core.model.STATUS_CODES`).
 _COMMITTED_CODE = STATUS_CODES[TransactionStatus.COMMITTED]
 _ABORTED_CODE = STATUS_CODES[TransactionStatus.ABORTED]
+
+#: "No operation on this key yet" marker of the construction scan (``None``
+#: is a legitimate read/written value).
+_UNSEEN = object()
 
 
 class ReadRecord(NamedTuple):
@@ -195,22 +204,35 @@ class HistoryIndex:
     wire_loads = 0
 
     def __init__(self, history: History) -> None:
-        type(self).builds += 1
+        from ..history.columnar import ColumnarHistory  # deferred: columnar builds on core
+
         started = time.perf_counter()
-        self._history: Optional[History] = history
-        self._columns: Optional["ColumnarHistory"] = None
-        self._transactions: Optional[List[Transaction]] = history.transactions(
-            include_initial=True
-        )
+        transactions = history.transactions(include_initial=True)
         self._init_core()
+        # The caller's objects back the object layer; the column encoding is
+        # private and scanned in the history's own order (sessions as listed,
+        # not re-sorted by id), so dense numbering follows the history.
+        self._history = history
+        self._transactions = transactions
+        self._from_history = True
         self._has_initial = history.initial_transaction is not None
-        self._scan_objects()
-        obs.inc("repro_index_builds_total", source="objects")
-        obs.observe("repro_index_build_seconds", time.perf_counter() - started)
+        with _gc_paused():
+            self._scan(
+                ColumnarHistory.from_transactions(transactions),
+                list(range(len(transactions))),
+            )
+        self._record_build("objects", started)
 
     @classmethod
     def build(cls, history: History) -> "HistoryIndex":
-        """Construct the index for ``history`` (one linear scan)."""
+        """Construct the index for ``history``.
+
+        The history is column-encoded first (rows in
+        ``history.transactions()`` order) and indexed by the same single
+        scan as :meth:`from_columns`; the caller's ``Transaction`` objects
+        are kept as the object layer, so ``committed``, ``final_writer``
+        and counterexamples hand back the caller's own objects.
+        """
         return cls(history)
 
     @classmethod
@@ -226,18 +248,39 @@ class HistoryIndex:
         trigger lazy materialisation from the columns instead.
         """
         self = cls.__new__(cls)
-        type(self).builds += 1
         started = time.perf_counter()
-        self._history = None
-        self._columns = columns
-        self._transactions = None
         self._init_core()
-        self._scan_columns()
-        obs.inc("repro_index_builds_total", source="columns")
-        obs.observe("repro_index_build_seconds", time.perf_counter() - started)
+        col_txn_ids = list(columns.txn_ids)
+        col_sessions = list(columns.session_ids)
+        initial_rows: List[int] = []
+        session_rows: Dict[int, List[int]] = {}
+        for row, txn_id in enumerate(col_txn_ids):
+            if txn_id == INITIAL_TXN_ID:
+                initial_rows.append(row)
+            else:
+                session_rows.setdefault(col_sessions[row], []).append(row)
+        self._has_initial = bool(initial_rows)
+        order = initial_rows
+        for sid in sorted(session_rows):
+            order.extend(session_rows[sid])
+        with _gc_paused():
+            self._scan(columns, order)
+        self._record_build("columns", started)
         return self
 
+    def _record_build(self, source: str, started: float) -> None:
+        type(self).builds += 1
+        obs.inc("repro_index_builds_total", source=source)
+        obs.observe("repro_index_build_seconds", time.perf_counter() - started)
+
     def _init_core(self) -> None:
+        self._history: Optional[History] = None
+        self._columns: Optional["ColumnarHistory"] = None
+        self._transactions: Optional[List[Transaction]] = None
+        #: Built by :meth:`build`: the columns are a private encoding of the
+        #: caller's history, whose own session lists define SO and RT.
+        self._from_history = False
+
         #: Dense id per transaction position: ``txn_ids[dense] == txn_id``.
         self.txn_ids: List[int] = []
         self.txn_dense: Dict[int, int] = {}
@@ -265,6 +308,10 @@ class HistoryIndex:
         self._reads_dense: Dict[
             int, List[Tuple[int, Optional[int], int, bool, Optional[int]]]
         ] = {}
+        #: Ascending positions of committed rows the scan flagged as possibly
+        #: holding an INT or read-provenance anomaly; every other row
+        #: provably holds none.
+        self._int_candidates: List[int] = []
         self._has_initial = False
 
         # Columnar backend state (lazy object materialisation).
@@ -286,67 +333,21 @@ class HistoryIndex:
         self._stream: Optional[List[Transaction]] = None
 
     # ------------------------------------------------------------------
-    # Construction: object scan
+    # Construction: the one column scan
     # ------------------------------------------------------------------
-    def _scan_objects(self) -> None:
-        """Single pass: intern ids/keys, index writes, collect raw reads."""
-        assert self._transactions is not None
-        final_writes: Dict[int, Dict[str, int]] = {}
-        raw: Dict[int, List[Tuple[int, Optional[int], bool, Optional[int]]]] = {}
-        key_dense = self.key_dense
-        key_names = self.key_names
-        for txn in self._transactions:
-            pos = self._intern_txn(
-                txn.txn_id, txn.committed, txn.is_initial, txn.session_id,
-                STATUS_CODES[txn.status],
-            )
+    def _scan(self, columns: "ColumnarHistory", order: List[int]) -> None:
+        """Single pass over the flat columns in ``order``; no objects are
+        allocated.
 
-            keys_here: Set[int] = set()
-            finals: Dict[str, int] = {}
-            last_write: Dict[int, Optional[int]] = {}
-            written: Set[int] = set()
-            reads: List[Tuple[int, Optional[int]]] = []
-            read_keys: Set[int] = set()
-            for op in txn.operations:
-                kid = key_dense.get(op.key)
-                if kid is None:
-                    kid = len(key_names)
-                    key_dense[op.key] = kid
-                    key_names.append(op.key)
-                keys_here.add(kid)
-                if op.is_write:
-                    if kid in last_write:
-                        self._intermediate_pos[(kid, last_write[kid])] = pos
-                    last_write[kid] = op.value
-                    written.add(kid)
-                    if op.value is not None:
-                        finals[op.key] = op.value
-                elif (
-                    kid not in written
-                    and kid not in read_keys
-                    and op.value is not None
-                ):
-                    # Mirrors Transaction.external_reads(): the first read of
-                    # a key before any own write on it.
-                    read_keys.add(kid)
-                    reads.append((kid, op.value))
-            for kid, value in last_write.items():
-                self._final_pos[(kid, value)] = pos
-            final_writes[txn.txn_id] = finals
-            if reads and txn.committed and not txn.is_initial:
-                raw[pos] = [
-                    (kid, value, kid in written, last_write.get(kid))
-                    for kid, value in reads
-                ]
-            self.txn_keys.append(sorted(keys_here))
-        self._final_writes = final_writes
-        self._resolve_reads(raw)
-
-    # ------------------------------------------------------------------
-    # Construction: columnar scan
-    # ------------------------------------------------------------------
-    def _scan_columns(self) -> None:
-        """Single pass over the flat columns; no objects are allocated.
+        Interns ids and keys, indexes final/intermediate writes, collects
+        each committed row's external reads, and flags the rows that can
+        hold an intra-transactional anomaly with the rules of
+        :func:`~repro.core.intcheck.ops_int_candidate`: a read whose value
+        differs from the last value seen on its key (NotMyLastWrite,
+        NotMyOwnWrite, NonRepeatableReads), an own write equal to the
+        key's first-read value (FutureRead), and — conservatively — a
+        ``None`` first read, whose provenance the read resolution below
+        does not cover.
 
         The ``array`` columns are expanded to plain lists up front —
         ``list(array)`` boxes every element once in C, where indexing the
@@ -354,37 +355,20 @@ class HistoryIndex:
         per-row op walk zips over list slices, which is the fastest pure-
         Python iteration shape available.
         """
-        cols = self._columns
-        assert cols is not None
-        col_txn_ids = list(cols.txn_ids)
-        col_sessions = list(cols.session_ids)
-        col_statuses = cols.statuses
-        offsets = list(cols.op_offsets)
-        kinds = list(cols.op_kinds)
-        op_keys = list(cols.op_keys)
-        op_values = list(cols.op_values)
-        op_has = list(cols.op_has_value)
-        col_key_names = cols.key_names
-
-        # Scan order: ``⊥T`` first, then rows grouped by ascending session
-        # id (per-session row order preserved) — exactly the order
-        # ``HistoryIndex.build(columns.to_history())`` would scan in.
-        n = len(col_txn_ids)
-        initial_rows: List[int] = []
-        session_rows: Dict[int, List[int]] = {}
-        for row in range(n):
-            if col_txn_ids[row] == INITIAL_TXN_ID:
-                initial_rows.append(row)
-            else:
-                session_rows.setdefault(col_sessions[row], []).append(row)
-        order = initial_rows[:]
-        for sid in sorted(session_rows):
-            order.extend(session_rows[sid])
+        self._columns = columns
         self._row_order = order
-        self._has_initial = bool(initial_rows)
+        col_txn_ids = list(columns.txn_ids)
+        col_sessions = list(columns.session_ids)
+        col_statuses = columns.statuses
+        offsets = list(columns.op_offsets)
+        kinds = list(columns.op_kinds)
+        op_keys = list(columns.op_keys)
+        op_values = list(columns.op_values)
+        op_has = list(columns.op_has_value)
+        col_key_names = columns.key_names
 
-        # Columnar key ids are re-interned in scan order so the index's key
-        # numbering is identical to the object path's.
+        # Columnar key ids are re-interned in scan order, so key numbering
+        # follows the scan, not the segment.
         remap = [-1] * len(col_key_names)
         key_dense = self.key_dense
         key_names = self.key_names
@@ -401,13 +385,15 @@ class HistoryIndex:
         intermediate_pos = self._intermediate_pos
         final_pos = self._final_pos
         raw: Dict[int, List[Tuple[int, Optional[int], bool, Optional[int]]]] = {}
+        int_flagged: List[int] = []
         # Per-row scratch containers are reused across rows (cleared, not
-        # reallocated): five fresh containers per row would dominate the
-        # scan at six-figure transaction counts.
-        keys_here: Set[int] = set()
+        # reallocated): fresh containers per row would dominate the scan at
+        # six-figure transaction counts.  ``seen`` holds the last value seen
+        # per key (its keys are the row's key set), ``first_read`` the value
+        # of each key whose first operation is a read.
+        seen: Dict[int, Optional[int]] = {}
         last_write: Dict[int, Optional[int]] = {}
-        written: Set[int] = set()
-        read_keys: Set[int] = set()
+        first_read: Dict[int, Optional[int]] = {}
         pos = -1
         for row in order:
             txn_id = col_txn_ids[row]
@@ -427,10 +413,10 @@ class HistoryIndex:
                 if not is_initial:
                     committed_non_initial_pos.append(pos)
 
-            keys_here.clear()
+            seen.clear()
             last_write.clear()
-            written.clear()
-            read_keys.clear()
+            first_read.clear()
+            flagged = False
             reads: Optional[List[Tuple[int, Optional[int]]]] = None
             lo, hi = offsets[row], offsets[row + 1]
             for kind, ckid, boxed, has in zip(
@@ -442,62 +428,79 @@ class HistoryIndex:
                     remap[ckid] = kid
                     key_dense[col_key_names[ckid]] = kid
                     key_names.append(col_key_names[ckid])
-                keys_here.add(kid)
                 value: Optional[int] = boxed if has else None
                 if kind:  # write
                     if kid in last_write:
                         intermediate_pos[(kid, last_write[kid])] = pos
                     last_write[kid] = value
-                    written.add(kid)
-                elif (
-                    kid not in written
-                    and kid not in read_keys
-                    and value is not None
-                ):
-                    read_keys.add(kid)
-                    if reads is None:
+                    seen[kid] = value
+                    if first_read and first_read.get(kid, _UNSEEN) == value:
+                        flagged = True  # FutureRead
+                    continue
+                prev = seen.get(kid, _UNSEEN)
+                seen[kid] = value
+                if prev is _UNSEEN:
+                    first_read[kid] = value
+                    if value is None:
+                        flagged = True
+                    elif reads is None:
                         reads = [(kid, value)]
                     else:
                         reads.append((kid, value))
+                elif prev != value:
+                    flagged = True
+                    # After only ``None`` reads of the key, the first valued
+                    # read is still the row's external read of it (the row is
+                    # flagged already, so ``first_read`` may be overwritten).
+                    if (
+                        value is not None
+                        and kid not in last_write
+                        and first_read[kid] is None
+                    ):
+                        first_read[kid] = value
+                        if reads is None:
+                            reads = [(kid, value)]
+                        else:
+                            reads.append((kid, value))
             for kid, value in last_write.items():
                 final_pos[(kid, value)] = pos
-            if reads is not None and committed and not is_initial:
-                raw[pos] = [
-                    (kid, value, kid in written, last_write.get(kid))
-                    for kid, value in reads
-                ]
-            txn_keys_out.append(sorted(keys_here))
-        self._resolve_reads(raw)
-
-    def _intern_txn(
-        self, txn_id: int, committed: bool, is_initial: bool, session_id: int,
-        status_code: int,
-    ) -> int:
-        pos = len(self.txn_ids)
-        self.txn_ids.append(txn_id)
-        self.txn_dense[txn_id] = pos
-        self._committed_mask.append(1 if committed else 0)
-        self._status_of.append(status_code)
-        self._session_of.append(session_id)
-        if committed:
-            self.committed_txn_ids.append(txn_id)
-            self.committed_ids.add(txn_id)
-            self._committed_pos.append(pos)
-            if not is_initial:
-                self._committed_non_initial_pos.append(pos)
-        return pos
+            if committed and not is_initial:
+                if flagged:
+                    int_flagged.append(pos)
+                if reads is not None:
+                    raw[pos] = [
+                        (kid, value, kid in last_write, last_write.get(kid))
+                        for kid, value in reads
+                    ]
+            txn_keys_out.append(sorted(seen))
+        provenance_flagged = self._resolve_reads(raw)
+        self._int_candidates = sorted(set(int_flagged).union(provenance_flagged))
 
     def _resolve_reads(
         self, raw: Dict[int, List[Tuple[int, Optional[int], bool, Optional[int]]]]
-    ) -> None:
-        """Second pass: attribute every external read to its writer position."""
+    ) -> List[int]:
+        """Attribute every external read to its writer position.
+
+        Returns the positions of rows with a read that resolves to no final
+        writer, to the reader itself, or to an aborted writer — the only
+        rows that can hold a ThinAir, Intermediate or AbortedRead anomaly.
+        """
         final_pos = self._final_pos
+        status_of = self._status_of
         reads_dense = self._reads_dense
+        flagged: List[int] = []
         for pos, entries in raw.items():
-            reads_dense[pos] = [
+            resolved = [
                 (kid, value, final_pos.get((kid, value), -1), writes_key, written)
                 for kid, value, writes_key, written in entries
             ]
+            reads_dense[pos] = resolved
+            for entry in resolved:
+                writer = entry[2]
+                if writer < 0 or writer == pos or status_of[writer] == _ABORTED_CODE:
+                    flagged.append(pos)
+                    break
+        return flagged
 
     # ------------------------------------------------------------------
     # Object layer (lazy for columnar-built indexes)
@@ -538,7 +541,7 @@ class HistoryIndex:
     @property
     def columns(self) -> Optional["ColumnarHistory"]:
         """The backing columnar segment, when built via :meth:`from_columns`."""
-        return self._columns
+        return None if self._from_history else self._columns
 
     @property
     def committed(self) -> List[Transaction]:
@@ -728,7 +731,7 @@ class HistoryIndex:
     def session_order_pairs(self) -> List[Tuple[Transaction, Transaction]]:
         """Adjacent committed session-order pairs (cached)."""
         if self._session_pairs is None:
-            if self._columns is None:
+            if self._from_history:
                 self._session_pairs = self.history.session_order()
             else:
                 self._session_pairs = [
@@ -740,7 +743,7 @@ class HistoryIndex:
     def session_order_id_pairs(self) -> List[Tuple[int, int]]:
         """Adjacent committed session-order pairs as transaction ids (cached)."""
         if self._session_id_pairs is None:
-            if self._columns is None:
+            if self._from_history:
                 self._session_id_pairs = [
                     (a.txn_id, b.txn_id) for a, b in self.session_order_pairs
                 ]
@@ -768,7 +771,7 @@ class HistoryIndex:
     def real_time_pairs(self, reduced: bool = True) -> List[Tuple[Transaction, Transaction]]:
         """Committed real-time order pairs (cached per ``reduced`` flag)."""
         if reduced not in self._rt_pairs:
-            if self._columns is None:
+            if self._from_history:
                 self._rt_pairs[reduced] = self.history.real_time_order(reduced=reduced)
             else:
                 self._rt_pairs[reduced] = [
@@ -780,7 +783,7 @@ class HistoryIndex:
     def real_time_id_pairs(self, reduced: bool = True) -> List[Tuple[int, int]]:
         """Committed real-time order pairs as transaction ids (cached)."""
         if reduced not in self._rt_id_pairs:
-            if self._columns is None:
+            if self._from_history:
                 self._rt_id_pairs[reduced] = [
                     (a.txn_id, b.txn_id)
                     for a, b in self.real_time_pairs(reduced=reduced)
@@ -837,75 +840,19 @@ class HistoryIndex:
     def int_violations(self) -> list:
         """The INT/read-provenance pre-pass verdict (cached).
 
-        On a columnar-built index the pre-pass runs column-natively: a flat
-        scan classifies each committed row, and only rows that actually
-        contain a candidate anomaly are materialised for the (identical)
-        object-level classification — zero allocations on the accept path.
+        Only the rows the construction scan flagged are materialised and
+        classified by :func:`repro.core.intcheck._check_transaction`; every
+        other row provably holds no violation.  A clean history therefore
+        costs nothing here, and the violations (kinds, transaction ids,
+        keys, order) are exactly those of the reference pre-pass
+        :func:`~repro.core.intcheck.check_internal_consistency`.
         """
         if self._int_violations is None:
-            if self._columns is not None:
-                self._int_violations = self._int_violations_from_columns()
-            else:
-                from .intcheck import check_internal_consistency
-
-                self._int_violations = check_internal_consistency(
-                    self.history, index=self
-                )
+            violations: list = []
+            for pos in self._int_candidates:
+                violations.extend(intcheck._check_transaction(self._txn_at(pos), self))
+            self._int_violations = violations
         return self._int_violations
-
-    def _int_violations_from_columns(self) -> list:
-        from . import intcheck
-
-        cols = self._columns
-        assert cols is not None and self._row_order is not None
-        violations: list = []
-        for pos in self._committed_non_initial_pos:
-            if self._row_has_int_candidate(pos):
-                violations.extend(
-                    intcheck._check_transaction(self._txn_at(pos), self)
-                )
-        return violations
-
-    def _row_has_int_candidate(self, pos: int) -> bool:
-        """Whether the row can contribute an INT/provenance violation.
-
-        A row returning ``False`` provably yields no violation; a row
-        returning ``True`` is re-checked at the object level so the
-        reported violations are identical to the object path.  The
-        intra-transactional trigger is the shared
-        :func:`~repro.core.intcheck.ops_int_candidate` (kept next to the
-        check it mirrors); the provenance trigger below mirrors
-        :func:`~repro.core.intcheck.provenance_violation` against the
-        dense write index.
-        """
-        from .intcheck import ops_int_candidate
-
-        cols = self._columns
-        assert cols is not None and self._row_order is not None
-        row = self._row_order[pos]
-        ops = list(cols.row_ops(row))
-        if ops_int_candidate(ops):
-            return True
-
-        # Provenance: every external-position read (first op of the row on
-        # its key — FutureReads were caught above) must resolve to a
-        # non-aborted final writer other than the reader itself.
-        col_names = cols.key_names
-        key_dense = self.key_dense
-        final_pos = self._final_pos
-        status_of = self._status_of
-        seen: Set[int] = set()
-        for kind, ckid, value in ops:
-            if ckid in seen:
-                continue
-            seen.add(ckid)
-            if kind:
-                continue
-            kid = key_dense[col_names[ckid]]
-            writer = final_pos.get((kid, value), -1)
-            if writer < 0 or writer == pos or status_of[writer] == _ABORTED_CODE:
-                return True  # ThinAir / Intermediate / AbortedRead
-        return False
 
     def mt_problems(self) -> list:
         """The MT-history validation verdict (cached).
@@ -927,10 +874,13 @@ class HistoryIndex:
 
         The result carries everything :meth:`from_columns` would have
         derived — interning, version-chain write slots, resolved read
-        edges, plus the (forced) SO and reduced-RT pair caches, which are
-        the expensive per-check passes worth shipping/caching.  The object
-        layer is *not* serialized: a rehydrated index materialises objects
-        lazily from the columns handed to :meth:`from_wire`.
+        edges, the rows flagged for the INT pre-pass, plus the (forced) SO
+        and reduced-RT pair caches, which are the expensive per-check
+        passes worth shipping/caching.  The object layer is *not*
+        serialized: a rehydrated index materialises objects lazily from the
+        columns handed to :meth:`from_wire`.  An index made by :meth:`build`
+        ships no row order — its columns are a private encoding — so its
+        wire cannot have columns attached.
         """
         buffers: Dict[str, array] = {
             name: array(code) for name, code in _WIRE_BUFFERS
@@ -980,7 +930,8 @@ class HistoryIndex:
                 written_col.append(0 if written is None else written)
                 written_has.append(0 if written is None else 1)
 
-        if self._row_order is not None:
+        has_row_order = self._row_order is not None and not self._from_history
+        if has_row_order:
             buffers["row_order"].extend(self._row_order)
         for a, b in self.session_order_id_pairs():
             buffers["so_pairs"].append(a)
@@ -988,22 +939,12 @@ class HistoryIndex:
         for a, b in self.real_time_id_pairs(reduced=True):
             buffers["rt_pairs"].append(a)
             buffers["rt_pairs"].append(b)
-
-        # Force (and ship) the INT pre-pass verdict when it is clean: a
-        # rehydrated index then skips the whole scan.  A dirty (or
-        # unknowable) pre-pass is NOT shipped — violations carry object
-        # descriptions, so consumers recompute them from the attached
-        # columns instead.
-        if self._int_violations is None and self._history is None and self._columns is None:
-            int_clean = False
-        else:
-            int_clean = not self.int_violations()
+        buffers["int_candidates"].extend(self._int_candidates)
         return {
             "format": INDEX_WIRE_FORMAT,
             "key_names": list(self.key_names),
             "has_initial": self._has_initial,
-            "has_row_order": self._row_order is not None,
-            "int_clean": int_clean,
+            "has_row_order": has_row_order,
             "buffers": {name: buf.tobytes() for name, buf in buffers.items()},
         }
 
@@ -1016,10 +957,11 @@ class HistoryIndex:
         """Rehydrate an index from :meth:`to_wire` buffers — no history scan.
 
         ``columns`` re-attaches the backing segment so the lazy object
-        layer (counterexample labeling, ``int_violations``, strict MT
-        validation) keeps working; it must be the exact segment the wire
-        was derived from.  Without columns the dense accessors — which is
-        all the CSR kernel and the SSER merger consume — remain available.
+        layer (counterexample labeling, classifying flagged INT rows,
+        strict MT validation) keeps working; it must be the exact segment
+        the wire was derived from.  Without columns the dense accessors —
+        which is all the CSR kernel and the SSER merger consume — remain
+        available.
         """
         if wire.get("format") != INDEX_WIRE_FORMAT:
             raise ValueError(f"unsupported index wire format: {wire.get('format')!r}")
@@ -1028,20 +970,8 @@ class HistoryIndex:
                 "cannot attach columns: the wire index was built from an "
                 "object history and carries no column row order"
             )
-        # Rehydration is a pure allocation burst — millions of small
-        # containers, no garbage, no reference cycles — so automatic
-        # collection is paused for its duration.  Without this, gen-2
-        # passes over a large live heap (the attached columns alone hold
-        # millions of objects) dominate the load time at
-        # million-transaction scale.
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
+        with _gc_paused():
             return cls._decode_wire(wire, columns)
-        finally:
-            if was_enabled:
-                gc.enable()
 
     @classmethod
     def _decode_wire(
@@ -1058,10 +988,8 @@ class HistoryIndex:
         self = cls.__new__(cls)
         type(self).wire_loads += 1
         obs.inc("repro_index_wire_loads_total")
-        self._history = None
-        self._columns = columns
-        self._transactions = None
         self._init_core()
+        self._columns = columns
 
         self.txn_ids = list(cols["txn_ids"])
         self.txn_dense = {txn_id: pos for pos, txn_id in enumerate(self.txn_ids)}
@@ -1123,8 +1051,7 @@ class HistoryIndex:
 
         if wire["has_row_order"]:
             self._row_order = list(cols["row_order"])
-        if wire.get("int_clean"):
-            self._int_violations = []
+        self._int_candidates = list(cols["int_candidates"])
         so = list(cols["so_pairs"])
         self._session_id_pairs = list(zip(so[0::2], so[1::2]))
         rt = list(cols["rt_pairs"])
@@ -1151,7 +1078,6 @@ class HistoryIndex:
                 "key_names": wire["key_names"],
                 "has_initial": wire["has_initial"],
                 "has_row_order": wire["has_row_order"],
-                "int_clean": wire["int_clean"],
                 "buffers": [
                     [name, code, len(buffers[name])] for name, code in _WIRE_BUFFERS
                 ],
@@ -1239,7 +1165,6 @@ class HistoryIndex:
                     "key_names": header["key_names"],
                     "has_initial": header["has_initial"],
                     "has_row_order": header["has_row_order"],
-                    "int_clean": header.get("int_clean", False),
                     "buffers": buffers,
                 },
                 columns=columns,
@@ -1280,6 +1205,26 @@ class HistoryIndex:
             f"HistoryIndex(transactions={len(self.txn_ids)}, "
             f"keys={len(self.key_names)}, committed={self.num_committed})"
         )
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause automatic garbage collection for one allocation burst.
+
+    Index construction and rehydration allocate millions of small
+    containers and create no garbage and no reference cycles, so automatic
+    collection only re-walks the live heap: gen-2 passes over a large heap
+    (a 100k-transaction segment alone is millions of objects) cost about a
+    third of a construction scan at that scale.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _interval_reduction_ids(

@@ -201,7 +201,7 @@ def _pool_fault(kind: str) -> None:
 
 
 def check_parallel(
-    history: Optional[History],
+    history: Union[History, ColumnarHistory, None],
     level: IsolationLevel,
     *,
     workers: int = 1,
@@ -219,8 +219,12 @@ def check_parallel(
     """Verify a history against ``level`` via the sharded pipeline.
 
     Args:
-        history: the MT history to verify — or ``None`` when ``columns``
-            carries the history in columnar form.
+        history: the MT history to verify, as a
+            :class:`~repro.core.model.History` or a
+            :class:`~repro.history.columnar.ColumnarHistory` (the latter is
+            the same as passing it as ``columns``) — or ``None`` when
+            ``columns`` carries the history.  Anything else raises
+            ``TypeError``.
         level: SER, SI, SSER, or LIN (checked as SSER on plain histories).
         workers: number of OS processes to fan shard checks out over;
             ``1`` runs the same shard checks inline (identical result).
@@ -274,6 +278,15 @@ def check_parallel(
             them on the way out; new code should read the registry
             directly (``obs.scoped()`` / ``repro watch --metrics-file``).
     """
+    if isinstance(history, ColumnarHistory):
+        if columns is not None:
+            raise ValueError("pass the ColumnarHistory as history or as columns=, not both")
+        history, columns = None, history
+    elif history is not None and not isinstance(history, History):
+        raise TypeError(
+            f"check_parallel expects a History or ColumnarHistory, "
+            f"got {type(history).__name__}"
+        )
     with obs.maybe_scoped(stats is not None) as scoped_reg:
         result = _check_parallel_impl(
             history,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.anomalies import anomaly_catalog
+from repro.core.checker import MTChecker
 from repro.core.checkers import MTHistoryError, check_ser, check_si, check_sser, classify_cycle
 from repro.core.graph import DependencyGraph, Edge, EdgeType
 from repro.core.model import History, Transaction, read, write
@@ -61,6 +62,10 @@ class TestCheckSer:
         history = history_of([gt], keys=("x", "y", "z"))
         with pytest.raises(MTHistoryError):
             check_ser(history, strict_mt=True)
+
+    def test_verify_rejects_non_history_input(self):
+        with pytest.raises(TypeError):
+            MTChecker().verify("x", IsolationLevel.SERIALIZABILITY)
 
     def test_int_violations_short_circuit(self):
         t1 = txn(1, read("x", 42))

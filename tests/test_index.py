@@ -10,8 +10,10 @@ from repro.core.intcheck import build_write_index, check_internal_consistency
 from repro.core.mini import validate_mt_history
 from repro.core.model import (
     History,
+    Session,
     Transaction,
     TransactionStatus,
+    make_initial_transaction,
     read,
     write,
 )
@@ -190,3 +192,63 @@ class TestSingleConstruction:
             before = HistoryIndex.builds
             checker.check(history)
             assert HistoryIndex.builds == before + 1
+
+
+class TestScanOrder:
+    """``build`` scans ``history.transactions()`` as listed — sessions are
+    not re-sorted by id — so dense numbering, and with it Tarjan's
+    labeled cycles and the DIVERGENCE report, follow the history."""
+
+    @staticmethod
+    def unsorted_history():
+        def txn(txn_id, session_id, start, *ops):
+            return Transaction(
+                txn_id, list(ops), session_id=session_id,
+                start_ts=start, finish_ts=start + 1.0,
+            )
+
+        return History(
+            [
+                Session(2, [txn(1, 2, 0.0, read("x", 0), write("x", 1)),
+                            txn(4, 2, 4.0, read("y", 3), write("y", 4))]),
+                Session(0, [txn(2, 0, 0.5, read("x", 0), write("x", 2)),
+                            txn(5, 0, 6.0, read("z", 0), write("z", 5))]),
+                Session(1, [txn(3, 1, 2.0, read("y", 0), write("y", 3)),
+                            txn(6, 1, 8.0, read("z", 5), write("z", 6))]),
+            ],
+            initial_transaction=make_initial_transaction(["x", "y", "z"]),
+        )
+
+    def test_dense_order_follows_session_list(self):
+        history = self.unsorted_history()
+        index = HistoryIndex.build(history)
+        assert index.txn_ids == [t.txn_id for t in history.transactions()]
+        assert index.txn_ids == [-1, 1, 4, 2, 5, 3, 6]
+
+    def test_verdicts_and_labels_are_pinned(self):
+        history = self.unsorted_history()
+        cycle = (
+            "  transactions involved: T1, T2\n"
+            "  cycle: T1 --RW(x)--> T2  T2 --RW(x)--> T1"
+        )
+        expected = {
+            IsolationLevel.SERIALIZABILITY: (
+                "SER: VIOLATED (6 transactions)\n"
+                "DependencyCycle: dependency cycle of length 2 over objects "
+                "['x'] forbidden by SER\n" + cycle
+            ),
+            IsolationLevel.SNAPSHOT_ISOLATION: (
+                "SI: VIOLATED (6 transactions)\n"
+                "LostUpdate: DIVERGENCE pattern on object x: T1 and T2 both "
+                "read value 0 written by T-1 and then wrote different values\n"
+                "  transactions involved: T-1, T1, T2"
+            ),
+            IsolationLevel.STRICT_SERIALIZABILITY: (
+                "SSER: VIOLATED (6 transactions)\n"
+                "DependencyCycle: dependency cycle of length 2 over objects "
+                "['x'] forbidden by SSER\n" + cycle
+            ),
+        }
+        for level, text in expected.items():
+            for dense in (True, False):
+                assert MTChecker(dense=dense).verify(history, level).format() == text

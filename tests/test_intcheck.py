@@ -1,8 +1,15 @@
 """Tests for internal-consistency checking and read-provenance anomalies."""
 
+import random
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.index import HistoryIndex
 from repro.core.intcheck import WriteIndex, build_write_index, check_internal_consistency
 from repro.core.model import History, Transaction, TransactionStatus, read, write
 from repro.core.result import AnomalyKind
+from repro.history import ColumnarHistory
 
 
 def txn(txn_id, *ops, status=TransactionStatus.COMMITTED):
@@ -104,3 +111,83 @@ class TestAnomalies:
         index = build_write_index(history)
         violations = check_internal_consistency(history, write_index=index)
         assert violations and violations[0].kind is AnomalyKind.THIN_AIR_READ
+
+
+# ----------------------------------------------------------------------
+# Differential: the index's fused scan trigger vs the reference pre-pass
+# ----------------------------------------------------------------------
+INT_KEYS = ("x", "y", "z")
+#: A tiny value domain (with ``None``) so that future reads, repeated and
+#: intermediate writes, and reads of aborted writers all occur often.
+INT_VALUES = (None, 0, 1, 2, 3, 4)
+
+
+def random_int_history(rng):
+    """A small history with every INT/provenance anomaly kind likely."""
+    sessions = []
+    txn_id = 1
+    for _ in range(rng.randint(1, 3)):
+        txns = []
+        for _ in range(rng.randint(1, 4)):
+            ops = []
+            for _ in range(rng.randint(1, 5)):
+                key = rng.choice(INT_KEYS)
+                value = rng.choice(INT_VALUES)
+                ops.append(read(key, value) if rng.random() < 0.55 else write(key, value))
+            status = (
+                TransactionStatus.ABORTED if rng.random() < 0.15
+                else TransactionStatus.COMMITTED
+            )
+            txns.append(Transaction(txn_id, ops, status=status))
+            txn_id += 1
+        sessions.append(txns)
+    initial_keys = INT_KEYS if rng.random() < 0.8 else None
+    return History.from_transactions(sessions, initial_keys=initial_keys)
+
+
+def violation_fingerprints(violations):
+    return [(v.kind, tuple(v.txn_ids), v.key, v.description) for v in violations]
+
+
+def assert_index_paths_match_reference(history):
+    reference = violation_fingerprints(check_internal_consistency(history))
+    built = HistoryIndex.build(history)
+    columnar = HistoryIndex.from_columns(ColumnarHistory.from_history(history))
+    assert violation_fingerprints(built.int_violations()) == reference
+    assert violation_fingerprints(columnar.int_violations()) == reference
+    return reference
+
+
+class TestFusedTriggerDifferential:
+    """``HistoryIndex.int_violations`` classifies only the rows its
+    construction scan flagged; the index-free reference pass (its own
+    :class:`WriteIndex`) checks every row.  They must agree exactly."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rng=st.randoms(use_true_random=False))
+    def test_random_histories_match_reference(self, rng):
+        assert_index_paths_match_reference(random_int_history(rng))
+
+    def test_seeded_sweep_injects_every_kind(self):
+        seen = set()
+        for seed in range(400):
+            reference = assert_index_paths_match_reference(
+                random_int_history(random.Random(seed))
+            )
+            seen.update(kind for kind, _ids, _key, _desc in reference)
+        assert {
+            AnomalyKind.FUTURE_READ,
+            AnomalyKind.NOT_MY_LAST_WRITE,
+            AnomalyKind.NOT_MY_OWN_WRITE,
+            AnomalyKind.NON_REPEATABLE_READS,
+            AnomalyKind.THIN_AIR_READ,
+            AnomalyKind.ABORTED_READ,
+            AnomalyKind.INTERMEDIATE_READ,
+        } <= seen
+
+    def test_none_first_read_then_valued_read(self):
+        # A valued read after only None reads is still the row's external
+        # read of the key: its provenance is resolved as well.
+        t1 = txn(1, read("x", None), read("x", 7), read("x", None), read("x", 8))
+        t2 = txn(2, read("y", 0), write("y", 7))
+        assert assert_index_paths_match_reference(history_of([t1], [t2], keys=("x", "y")))

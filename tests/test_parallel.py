@@ -20,6 +20,7 @@ from repro.core.index import HistoryIndex
 from repro.core.model import History, Operation, Session, Transaction, read, write
 from repro.core.result import IsolationLevel
 from repro.db import FaultPlan
+from repro.history import ColumnarHistory
 from repro.parallel import check_parallel, partition_history
 
 LEVELS = [
@@ -304,6 +305,18 @@ class TestExecutor:
             history, IsolationLevel.SERIALIZABILITY, workers=1, index=index
         )
         assert result.satisfied and result.num_transactions == index.num_committed
+
+    def test_columnar_history_accepted_as_source(self):
+        history = composite_history([("si", 3, FaultPlan.for_anomaly("lostupdate", 0.4, 3))])
+        columns = ColumnarHistory.from_history(history)
+        for level in LEVELS:
+            as_source = check_parallel(columns, level, workers=1)
+            as_keyword = check_parallel(None, level, workers=1, columns=columns)
+            assert as_source.format() == as_keyword.format()
+
+    def test_non_history_source_rejected(self):
+        with pytest.raises(TypeError):
+            check_parallel("x", IsolationLevel.SERIALIZABILITY, workers=1)
 
     def test_linearizability_maps_to_sser(self):
         history = make_disjoint_history(
